@@ -230,7 +230,6 @@ def build_population(
     frequency_mhz: float = 50.0,
     seed: int = 0,
     workers: int = 1,
-    batcher=None,
 ) -> PowerPopulation:
     """Build the vector-pair power population the paper estimates over.
 
@@ -242,10 +241,7 @@ def build_population(
 
     This is the exact construction ``repro estimate`` performs, factored
     out so the CLI, the :func:`estimate` facade, and the job service
-    produce bit-identical populations for the same arguments.  The
-    optional ``batcher`` (a :class:`~repro.sim.batch.SimBatcher`) lets
-    the service fuse concurrent jobs' unit-delay simulation into shared
-    kernel invocations — powers are bit-identical with or without it.
+    produce bit-identical populations for the same arguments.
     """
     import numpy as np
 
@@ -268,7 +264,6 @@ def build_population(
         circuit,
         frequency_hz=frequency_mhz * 1e6,
         mode=sim_mode,
-        batcher=batcher,
     )
     if activity is None:
         def generate(count: int, rng: np.random.Generator):

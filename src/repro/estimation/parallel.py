@@ -212,16 +212,6 @@ def _init_worker(
         spans.disable()
     spans.attach(span_context)
     get_tracer().close()
-    # Simulation-side process state: a forked child inherits the
-    # parent's batcher (whose condition variable may belong to a thread
-    # that doesn't exist here) and the native tier's loaded backend.
-    # The backend (a read-only shared library handle / jitted function)
-    # survives fork fine, but the batcher must be rebuilt; its module
-    # registers an at-fork hook, and this explicit reset also covers
-    # spawn-style pools resuming from a pickled estimator.
-    from ..sim.batch import reset_batcher
-
-    reset_batcher()
 
 
 def _require_estimator() -> MaxPowerEstimator:

@@ -31,7 +31,7 @@ See ``docs/api.md`` for the endpoint table and payload schemas.
 """
 
 from .client import Client
-from .jobs import Job, JobSpec, JobState, JobStore
+from .jobs import Job, JobSpec, JobState
 from .server import JobServer, serve
 from .store import SQLiteJobStore
 from .worker import WorkerPool
@@ -41,7 +41,6 @@ __all__ = [
     "Job",
     "JobSpec",
     "JobState",
-    "JobStore",
     "SQLiteJobStore",
     "JobServer",
     "WorkerPool",

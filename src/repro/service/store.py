@@ -1,9 +1,8 @@
-"""SQLite-backed durable job + result store (the service's default).
+"""SQLite-backed durable job + result store (the service's only store).
 
-Replaces the append-only ``jobs.jsonl`` event log with a WAL-mode
-SQLite database (stdlib :mod:`sqlite3`) behind the exact
-:class:`~repro.service.jobs.JobStore` interface, fixing the failure
-modes an event log can only paper over:
+Keeps every job in a WAL-mode SQLite database (stdlib :mod:`sqlite3`),
+which replaced the append-only ``jobs.jsonl`` event log of older
+servers and fixes the failure modes an event log can only paper over:
 
 * **No event tearing.**  Every lifecycle transition — including
   "results arrived *and* the job is completed" — is one transaction, so
@@ -158,10 +157,9 @@ DEFAULT_LEASE_TTL = 30.0
 class SQLiteJobStore:
     """Thread-safe, durable job registry on SQLite (WAL mode).
 
-    Drop-in for :class:`~repro.service.jobs.JobStore`: same constructor
-    shape, same lifecycle methods, same in-memory :class:`Job` objects
+    Serves in-memory :class:`~repro.service.jobs.Job` objects
     (``cancel_event`` and the live ``trajectory`` are process-local by
-    nature).  The database is the source of truth for everything
+    nature); the database is the source of truth for everything
     durable.
     """
 

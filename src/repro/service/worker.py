@@ -1,7 +1,7 @@
 """Worker pool: drains the job queue through the estimation pipeline.
 
 Each worker is a thread that claims one job at a time from the
-:class:`~repro.service.jobs.JobStore` and executes it:
+:class:`~repro.service.store.SQLiteJobStore` and executes it:
 
 * Single-run jobs call :meth:`MaxPowerEstimator.run` directly with a
   ``progress`` hook, so the job's per-k convergence trajectory updates
@@ -52,8 +52,8 @@ from ..estimation.adaptive import build_estimator
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
 from ..obs.trace import get_tracer
-from ..sim.batch import batching_enabled, get_batcher
-from .jobs import Job, JobStore
+from .jobs import Job
+from .store import SQLiteJobStore
 
 __all__ = ["WorkerPool"]
 
@@ -83,9 +83,9 @@ def _trajectory_entry(hs, interval, cumulative_units: int) -> dict:
 
 
 class WorkerPool:
-    """``num_workers`` daemon threads draining one :class:`JobStore`."""
+    """``num_workers`` daemon threads draining one :class:`SQLiteJobStore`."""
 
-    def __init__(self, store: JobStore, num_workers: int = 2):
+    def __init__(self, store: SQLiteJobStore, num_workers: int = 2):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.store = store
@@ -94,11 +94,6 @@ class WorkerPool:
         self._threads: List[threading.Thread] = []
         self._cache_lock = threading.Lock()
         self._populations: "OrderedDict[tuple, object]" = OrderedDict()
-        # One process-wide batcher shared by every worker thread (and
-        # every pool of this replica): concurrent jobs on the same
-        # circuit fuse their unit-delay simulation into shared kernel
-        # invocations.  REPRO_SIM_BATCH=0 opts out.
-        self._batcher = get_batcher() if batching_enabled() else None
         self._busy_lock = threading.Lock()
         self._busy = 0
         #: In-flight claim attempts, keyed by (job id, lease token) and
@@ -190,7 +185,6 @@ class WorkerPool:
             frequency_mhz=spec.frequency_mhz,
             seed=spec.seed,
             workers=spec.config.workers,
-            batcher=self._batcher,
         )
         with self._cache_lock:
             self._populations[key] = population

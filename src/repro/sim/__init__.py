@@ -11,7 +11,6 @@
 * :class:`~repro.sim.sta.StaticTimingAnalyzer` — longest-path timing.
 """
 
-from .batch import SimBatcher, get_batcher, reset_batcher
 from .bitsim import BitParallelSimulator, pack_vectors, unpack_vectors
 from .compiled import CompiledPlan, compile_plan, kernel_info, resolve_kernel
 from .delay import DelayModel, LibraryDelay, UnitDelay, ZeroDelay
@@ -24,10 +23,7 @@ from .vcd import VcdData, dump_vcd, parse_vcd, write_vcd
 __all__ = [
     "BitParallelSimulator",
     "CompiledPlan",
-    "SimBatcher",
     "compile_plan",
-    "get_batcher",
-    "reset_batcher",
     "kernel_info",
     "resolve_kernel",
     "pack_vectors",

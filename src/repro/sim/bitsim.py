@@ -17,15 +17,18 @@ each ``uint64`` and evaluates whole nets with numpy bitwise ops:
   so hazard (glitch) activity is captured, exactly like an event-driven
   unit-delay simulator but orders of magnitude faster in Python.
 
-Two kernels implement these semantics.  The default **compiled**
-kernel (:mod:`repro.sim.compiled`) lowers the circuit once into flat
-struct-of-arrays batches — one fancy-indexed gather plus one bitwise
-reduction evaluates all same-shaped gates of a level, and the
+Three kernel tiers implement these semantics.  The default
+**compiled** kernel (:mod:`repro.sim.compiled`) lowers the circuit once
+into flat struct-of-arrays batches — one fancy-indexed gather plus one
+bitwise reduction evaluates all same-shaped gates of a level, and the
 unit-delay loop re-evaluates only batches whose fanin cone changed.
-The legacy **interpreted** kernel (per-gate ``eval_gate_words`` calls)
-is retained behind ``REPRO_SIM_KERNEL=interp`` for A/B benchmarking and
-differential testing; the two produce bit-identical states and toggle
-counts and float-identical energies.
+The **native** tier (:mod:`repro.sim.native`) runs the same plan's
+unit-delay wavefront loop in a ctypes-loaded C extension, degrading to
+``compiled`` when none can be built.  The legacy **interpreted** kernel
+(per-gate ``eval_gate_words`` calls) is retained behind
+``REPRO_SIM_KERNEL=interp`` as the differential-testing reference.  All
+three produce bit-identical states and toggle counts and float-identical
+energies.
 
 Packing helpers convert between ``(num_vectors, num_inputs)`` bit
 matrices and the ``(num_inputs, num_words)`` lane layout.
@@ -40,6 +43,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType, eval_gate_words
+from ..obs.metrics import get_registry
 from .compiled import (
     _UNIT_LANE_BLOCK,
     CompiledPlan,
@@ -58,6 +62,8 @@ __all__ = [
     "pack_vectors",
     "unpack_vectors",
 ]
+
+_METRICS = get_registry()
 
 # Back-compat alias: sibling modules import the lane-mask helper from
 # here (the implementation moved to repro.sim.compiled).
@@ -277,6 +283,9 @@ class BitParallelSimulator:
             to circuit depth + 4) — impossible for an acyclic circuit,
             so it guards against internal errors.
         """
+        _METRICS.counter(
+            "sim_kernel_invocations_total", tier=self._kernel
+        ).inc()
         if self._kernel == "native":
             return self._toggle_energy_unit_delay_native(
                 v1_words, v2_words, num_lanes, net_caps, max_steps

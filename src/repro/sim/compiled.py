@@ -77,7 +77,6 @@ __all__ = [
     "compile_plan",
     "resolve_kernel",
     "kernel_info",
-    "plan_cache_capacity",
     "charge_rows",
     "charge_planes",
     "accumulate_planes",
@@ -98,8 +97,7 @@ KERNELS = ("compiled", "interp", "native")
 DEFAULT_KERNEL = "compiled"
 
 #: Compiled plans kept hot across distinct circuit objects before the
-#: least-recently-used one is dropped (``REPRO_SIM_PLAN_CACHE``
-#: overrides; ``0`` disables the bound).  A long-lived service replica
+#: least-recently-used one is dropped.  A long-lived service replica
 #: sees an unbounded stream of distinct uploaded circuits — without a
 #: cap every one would pin its plan arrays in memory forever.
 DEFAULT_PLAN_CACHE_CAPACITY = 256
@@ -148,9 +146,9 @@ def resolve_kernel(kernel: Optional[str] = None, probe: bool = False) -> str:
 
     With ``probe=True`` the choice is also resolved against what this
     process can actually run: ``"native"`` degrades to ``"compiled"``
-    when no accelerator backend (Numba or the ctypes C extension) is
-    available — logged once and counted in
-    ``sim_native_fallback_total`` — never an error.
+    when the C extension cannot be built or ``REPRO_NATIVE_BACKEND=none``
+    — logged once and counted in ``sim_native_fallback_total`` — never
+    an error.
     """
     requested = kernel
     if kernel is None:
@@ -1037,27 +1035,6 @@ def compile_plan(circuit: Circuit) -> CompiledPlan:
     return plan
 
 
-def plan_cache_capacity() -> int:
-    """Live plan-LRU capacity (``REPRO_SIM_PLAN_CACHE`` or the default).
-
-    ``0`` disables the bound entirely (plans then live exactly as long
-    as their circuit objects, the pre-LRU behaviour).
-    """
-    raw = os.environ.get("REPRO_SIM_PLAN_CACHE")
-    if raw is None:
-        return DEFAULT_PLAN_CACHE_CAPACITY
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ConfigError(
-            f"invalid REPRO_SIM_PLAN_CACHE value {raw!r}: "
-            "expected a non-negative integer (0 disables the bound)"
-        )
-    return cap
-
-
 _PLAN_LRU_LOCK = threading.Lock()
 #: id(circuit) -> weakref.  Ordered oldest-touched first; holding only
 #: weak references means the LRU never extends a circuit's lifetime, it
@@ -1078,9 +1055,6 @@ def _plan_cache_touch(circuit: Circuit) -> None:
     dominant memory) — the circuit itself stays valid and simply
     recompiles on next use.
     """
-    cap = plan_cache_capacity()
-    if cap == 0:
-        return
     key = id(circuit)
     with _PLAN_LRU_LOCK:
         ref = _PLAN_LRU.pop(key, None)
@@ -1090,7 +1064,7 @@ def _plan_cache_touch(circuit: Circuit) -> None:
             ref = weakref.ref(circuit, lambda _r, _k=key: _plan_cache_forget(_k))
         _PLAN_LRU[key] = ref
         victims: List[Circuit] = []
-        while len(_PLAN_LRU) > cap:
+        while len(_PLAN_LRU) > DEFAULT_PLAN_CACHE_CAPACITY:
             _old_key, old_ref = _PLAN_LRU.popitem(last=False)
             victim = old_ref()
             if victim is not None:

@@ -29,6 +29,7 @@ from repro.service.store import SQLiteJobStore
 from repro.service.worker import WorkerPool
 
 from .test_jobs import fake_result, make_spec
+from .test_server import unit_spec
 
 
 @pytest.fixture
@@ -334,6 +335,35 @@ class TestTwoReplicaService:
             quick_spec.config,
             seed=quick_spec.seed,
             population_size=quick_spec.population_size,
+        )
+        got = client.result(submitted.id)
+        assert got.estimate == expected.estimate
+        assert got.to_dict() == expected.to_dict()
+
+
+    def test_stolen_unit_job_bit_identical(self, fabric, tmp_path, bench_path):
+        """A stolen unit-delay job re-runs on the survivor's simulation
+        kernel and still lands on identical bits."""
+        spec = unit_spec(bench_path)
+        dead = SQLiteJobStore(
+            tmp_path / "shared", replica_id="dead", lease_ttl=0.3
+        )
+        submitted = dead.submit(spec)
+        assert dead.claim_next(timeout=0.01, owner="wd") is not None
+        dead.close()
+
+        survivor = fabric("shared", workers=2, lease_ttl=0.3)
+        client = Client(survivor.url, timeout=10.0)
+        status = client.wait(submitted.id, timeout=60)
+        assert status["state"] == "completed"
+        assert len(committed_results(tmp_path / "shared", submitted.id)) == 1
+
+        expected = estimate(
+            spec.circuit,
+            spec.config,
+            seed=spec.seed,
+            population_size=spec.population_size,
+            sim_mode="unit",
         )
         got = client.result(submitted.id)
         assert got.estimate == expected.estimate

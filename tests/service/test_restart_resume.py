@@ -15,7 +15,8 @@ from repro.api import EstimatorConfig, build_population, run_many
 from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.obs.metrics import get_registry
 from repro.service import Client, JobServer
-from repro.service.jobs import JobSpec, JobState, JobStore
+from repro.service.jobs import JobSpec, JobState
+from repro.service.store import SQLiteJobStore
 
 
 @pytest.fixture
@@ -33,6 +34,13 @@ def start_server(state_dir) -> JobServer:
     return JobServer(port=0, state_dir=state_dir, workers=1).start()
 
 
+def dead_server_store(state_dir) -> SQLiteJobStore:
+    """The durable half of a server that is about to die.  Its leases
+    never expire (``lease_ttl=None``), like a single-replica server's,
+    so the next server on the state dir requeues them at startup."""
+    return SQLiteJobStore(state_dir, lease_ttl=None)
+
+
 class TestSingleRunRestart:
     def test_queued_job_survives_restart_and_matches_in_process(
         self, restartable, bench_path
@@ -43,9 +51,8 @@ class TestSingleRunRestart:
             seed=3,
             population_size=400,
         )
-        # A server accepted the job and died before any worker touched it
-        # (JobStore alone = the durable half of the server).
-        store = JobStore(restartable)
+        # A server accepted the job and died before any worker touched it.
+        store = dead_server_store(restartable)
         job = store.submit(spec)
         store.close()
 
@@ -73,7 +80,7 @@ class TestSingleRunRestart:
             seed=5,
             population_size=400,
         )
-        store = JobStore(restartable)
+        store = dead_server_store(restartable)
         job = store.submit(spec)
         claimed = store.claim_next(timeout=0.1)  # marked running, then died
         assert claimed.id == job.id
@@ -113,7 +120,7 @@ class TestMultiRunCheckpointResume:
         self, restartable, bench_path
     ):
         spec = self.make_spec(bench_path)
-        store = JobStore(restartable)
+        store = dead_server_store(restartable)
         job = store.submit(spec)
         store.claim_next(timeout=0.1)  # running when the server dies
 

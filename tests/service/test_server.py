@@ -1,4 +1,4 @@
-"""HTTP lifecycle tests: parity, errors, cancellation, metrics."""
+"""HTTP lifecycle tests: parity, errors, cancellation, metrics, kernel."""
 
 from __future__ import annotations
 
@@ -9,10 +9,11 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.api import EstimatorConfig, build_population
+from repro.api import EstimatorConfig, build_population, estimate
 from repro.errors import ServiceError
 from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.service.jobs import JobSpec, JobState
+from repro.sim.compiled import KERNELS
 
 
 def long_spec(bench_path) -> JobSpec:
@@ -22,6 +23,17 @@ def long_spec(bench_path) -> JobSpec:
         config=EstimatorConfig(error=1e-9, max_hyper_samples=200_000),
         seed=1,
         population_size=0,  # streaming: never runs out of units
+    )
+
+
+def unit_spec(bench_path, seed=3) -> JobSpec:
+    """A quick unit-delay job: the simulation kernel does real work."""
+    return JobSpec(
+        circuit=str(bench_path),
+        config=EstimatorConfig(max_hyper_samples=10),
+        seed=seed,
+        population_size=400,
+        sim_mode="unit",
     )
 
 
@@ -171,6 +183,27 @@ class TestMetrics:
         assert "repro_service_jobs_finished_total" in text
         assert "repro_service_job_seconds" in text
 
+    def test_kernel_invocations_exported(self, service, bench_path):
+        _server, client = service
+        job = client.submit(unit_spec(bench_path))
+        client.wait(job["id"], timeout=60)
+        assert "repro_sim_kernel_invocations_total{tier=" in client.metrics()
+
+
+class TestKernelSurfacing:
+    def test_healthz_reports_sim_kernel(self, service):
+        _server, client = service
+        info = client.health()["sim_kernel"]
+        assert info["requested"] in KERNELS
+        assert info["active"] in ("compiled", "interp", "native")
+        assert isinstance(info["fallback"], bool)
+
+    def test_shutdown_summary_names_kernel(self, service):
+        server, _ = service
+        summary = server.telemetry_summary()
+        assert "sim kernel" in summary
+        assert any(tier in summary for tier in KERNELS)
+
 
 class TestMemoization:
     def test_identical_spec_served_from_memo_bit_identical(
@@ -229,6 +262,26 @@ class TestConcurrency:
             )
             served = client.result(jobs[seed])
             assert served.to_dict() == expected.to_dict()
+
+    def test_concurrent_unit_jobs_bit_identical(self, service, bench_path):
+        """Eight unit-delay seeds race through two worker threads; every
+        result must equal its solo in-process run exactly."""
+        _server, client = service
+        seeds = list(range(8))
+        jobs = [client.submit(unit_spec(bench_path, seed=s)) for s in seeds]
+        for seed, job in zip(seeds, jobs):
+            status = client.wait(job["id"], timeout=60)
+            assert status["state"] == "completed"
+            expected = estimate(
+                str(bench_path),
+                EstimatorConfig(max_hyper_samples=10),
+                seed=seed,
+                population_size=400,
+                sim_mode="unit",
+            )
+            got = client.result(job["id"])
+            assert got.estimate == expected.estimate
+            assert got.to_dict() == expected.to_dict()
 
     def test_ids_remain_unique_under_concurrent_submission(
         self, service, quick_spec

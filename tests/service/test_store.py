@@ -1,16 +1,15 @@
 """SQLite job store: lifecycle, memoization, atomic claims, migration.
 
-The store must behave exactly like the legacy JSONL
-:class:`~repro.service.jobs.JobStore` for every lifecycle operation
-(the migration tests assert ``status_dict()`` parity replaying the same
-log through both), then go beyond it: content-keyed result memoization,
-tear-free terminal transitions, and compare-and-swap work claiming.
+A legacy ``jobs.jsonl`` must migrate to exactly the jobs that
+:func:`~repro.service.jobs.replay_log` settles from it (the migration
+tests assert ``status_dict()`` and ``requeued_ids`` parity).  Beyond
+that the store adds content-keyed result memoization, tear-free
+terminal transitions, and compare-and-swap work claiming.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import sqlite3
 
 import pytest
@@ -19,10 +18,19 @@ from repro.api import EstimatorConfig
 from repro.errors import ConfigError
 from repro.obs.metrics import get_registry
 from repro.schemas import fingerprint_job_spec
-from repro.service.jobs import JobSpec, JobState, JobStore
+from repro.service.jobs import JobState, replay_log
 from repro.service.store import SQLiteJobStore
 
-from .test_jobs import fake_result, make_spec
+from .test_jobs import (
+    HEADER,
+    cancel_requested,
+    fake_result,
+    make_spec,
+    result,
+    state,
+    submitted,
+    write_log,
+)
 
 
 @pytest.fixture
@@ -82,8 +90,9 @@ class TestLifecycle:
             store.request_cancel("job-999999-dead")
 
     def test_status_dict_matches_legacy_fields(self, tmp_path):
-        job = SQLiteJobStore(tmp_path / "a").submit(make_spec())
-        legacy = JobStore(tmp_path / "b").submit(make_spec())
+        job = SQLiteJobStore(tmp_path).submit(make_spec())
+        log = write_log(tmp_path, HEADER, submitted("job-000001-aaaa", 1.0))
+        legacy = replay_log(log)[0]["job-000001-aaaa"]
         assert set(job.status_dict()) == set(legacy.status_dict())
 
     def test_terminal_transition_is_one_transaction(self, tmp_path):
@@ -221,26 +230,35 @@ class TestMemoization:
         assert store.submit(make_spec()).state == JobState.QUEUED
 
 
+DONE, INTERRUPTED, CANCELLED = (
+    "job-000001-aaaa", "job-000002-bbbb", "job-000003-cccc"
+)
+
+
 def build_legacy_log(state_dir, torn_tail=False, cancelled_queued=False):
     """A legacy jobs.jsonl with one completed, one mid-flight job (plus
     optional torn tail / cancelled-while-queued variants)."""
-    store = JobStore(state_dir)
-    done = store.submit(make_spec(seed=1))
-    store.claim_next(timeout=0.01)
-    store.mark_completed(done, [fake_result(4.5)])
-    interrupted = store.submit(make_spec(seed=2))
-    store.claim_next(timeout=0.01)  # running when the process dies
+    lines = [
+        HEADER,
+        submitted(DONE, 1.0, seed=1),
+        state(DONE, "running", 2.0),
+        result(DONE, 4.5),
+        state(DONE, "completed", 3.0),
+        submitted(INTERRUPTED, 4.0, seed=2),
+        state(INTERRUPTED, "running", 5.0),  # running when the process dies
+    ]
     if cancelled_queued:
-        third = store.submit(make_spec(seed=3))
-        third.cancel_event.set()
-        store._append(
-            {"event": "cancel_requested", "id": third.id, "t": 9.0}
-        )
-    store.close()
-    if torn_tail:
-        with open(state_dir / "jobs.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"event": "state", "id": "' + interrupted.id)
-    return state_dir / "jobs.jsonl"
+        lines += [
+            submitted(CANCELLED, 6.0, seed=3),
+            cancel_requested(CANCELLED, 9.0),
+        ]
+    return write_log(
+        state_dir,
+        *lines,
+        torn_tail=(
+            '{"event": "state", "id": "' + INTERRUPTED if torn_tail else ""
+        ),
+    )
 
 
 class TestMigration:
@@ -252,27 +270,28 @@ class TestMigration:
     def test_migrated_status_is_identical_to_legacy_replay(
         self, tmp_path, variant
     ):
-        legacy_dir = tmp_path / "legacy"
-        sqlite_dir = tmp_path / "sqlite"
-        legacy_dir.mkdir()
-        sqlite_dir.mkdir()
         log = build_legacy_log(
-            legacy_dir,
+            tmp_path,
             torn_tail=variant == "torn_tail",
             cancelled_queued=variant == "cancelled_queued",
         )
-        shutil.copy(log, sqlite_dir / "jobs.jsonl")
+        replayed, _ = replay_log(log)
+        # Startup recovery requeues every job replay left non-terminal,
+        # in submission order.
+        requeued = []
+        for job in sorted(replayed.values(), key=lambda j: j.created_at):
+            if not job.terminal:
+                job.state = JobState.QUEUED
+                job.started_at = None
+                requeued.append(job.id)
+        legacy_status = {j.id: j.status_dict() for j in replayed.values()}
 
-        replayed = JobStore(legacy_dir)
-        migrated = SQLiteJobStore(sqlite_dir)
-        legacy_status = {
-            j.id: j.status_dict() for j in replayed.list()
-        }
+        migrated = SQLiteJobStore(tmp_path)
         sqlite_status = {
             j.id: j.status_dict() for j in migrated.list()
         }
         assert sqlite_status == legacy_status
-        assert migrated.requeued_ids == replayed.requeued_ids
+        assert migrated.requeued_ids == requeued == [INTERRUPTED]
         assert migrated.migrated_jobs == len(legacy_status)
 
     def test_log_is_retired_and_never_replayed_twice(self, tmp_path):

@@ -321,6 +321,13 @@ class TestKernelMetrics:
             assert compiled._BATCH_EVALS.value > 0
             assert compiled._STEPS_TOTAL.value > 0
             assert compiled._ACTIVE_LEVELS.count > 0
+            # One increment per call, labelled with the resolved tier.
+            invocations = registry.counter(
+                "sim_kernel_invocations_total", tier="compiled"
+            )
+            assert invocations.value == 1
+            sim.toggle_energy_unit_delay(w1, w2, lanes, caps)
+            assert invocations.value == 2
         finally:
             registry.disable()
             registry.reset()
@@ -337,6 +344,42 @@ class TestKernelMetrics:
             hits0 = compiled._PLAN_CACHE_HITS.value
             compile_plan(circuit)
             assert compiled._PLAN_CACHE_HITS.value == hits0 + 1
+        finally:
+            registry.disable()
+            registry.reset()
+
+    def test_plan_cache_evicts_least_recently_used(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.obs.metrics import get_registry
+
+        monkeypatch.setattr(compiled, "DEFAULT_PLAN_CACHE_CAPACITY", 2)
+        monkeypatch.setattr(compiled, "_PLAN_LRU", OrderedDict())
+        registry = get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            circuits = [
+                random_layered_circuit(f"lru{i}", 6, 3, 20, 4, seed=90 + i)
+                for i in range(3)
+            ]
+            v1, v2 = _random_pairs(6, 65, 94)
+            w1, lanes = pack_vectors(v1)
+            w2, _ = pack_vectors(v2)
+            oldest = BitParallelSimulator(circuits[0], kernel="compiled")
+            caps = _random_caps(oldest.num_nets, 95)
+            before = oldest.toggle_energy_unit_delay(w1, w2, lanes, caps)
+            first_plan = compile_plan(circuits[0])
+            compile_plan(circuits[1])
+            compile_plan(circuits[2])  # third live circuit: evicts the first
+            assert compiled._PLAN_EVICTIONS.value == 1
+            assert list(compiled._PLAN_LRU) == [id(c) for c in circuits[1:]]
+            recompiled = compile_plan(circuits[0])
+            assert recompiled is not first_plan  # the memo was dropped
+            after = BitParallelSimulator(
+                circuits[0], kernel="compiled"
+            ).toggle_energy_unit_delay(w1, w2, lanes, caps)
+            assert np.array_equal(before, after)
         finally:
             registry.disable()
             registry.reset()

@@ -1,11 +1,11 @@
 """Differential tests: native kernel tier vs compiled vs interpreter.
 
-The native tier (Numba- or C-extension-backed wavefront loop) must be
+The native tier (the C-extension-backed wavefront loop) must be
 *indistinguishable* from the compiled kernel: bit-identical toggle
 planes and float-identical energies (all tiers charge through the one
 shared :func:`~repro.sim.compiled.charge_planes`).  Everything that
-needs an accelerator skips — never fails — when neither backend is
-available, and the selection tests prove the graceful degradation
+needs the accelerator skips — never fails — when the C extension is
+unavailable, and the selection tests prove the graceful degradation
 contract: ``REPRO_SIM_KERNEL=native`` without an accelerator runs on
 the compiled tier, logged and metric-counted, never an error.
 """
@@ -41,7 +41,7 @@ from repro.sim.native import (
 
 HAVE_NATIVE = native_available()
 requires_native = pytest.mark.skipif(
-    not HAVE_NATIVE, reason="no native backend (Numba or C compiler)"
+    not HAVE_NATIVE, reason="no native backend (no C compiler)"
 )
 
 # Lane counts straddling word and charge-block boundaries.
@@ -168,14 +168,16 @@ class TestNativeSelection:
         clean_backend.setenv("REPRO_SIM_KERNEL", "native")
         info = kernel_info()
         assert info["active"] == "native"
-        assert info["backend"] in ("numba", "cext")
+        assert info["backend"] == "cext"
         assert info["fallback"] is False
 
     def test_unknown_native_backend_env_rejected(self, clean_backend):
-        clean_backend.setenv("REPRO_NATIVE_BACKEND", "turbo")
-        reset_backend()
-        with pytest.raises(ConfigError, match="REPRO_NATIVE_BACKEND"):
-            native_available()
+        # Only auto|none are values; the C extension is what auto builds.
+        for value in ("turbo", "cext"):
+            clean_backend.setenv("REPRO_NATIVE_BACKEND", value)
+            reset_backend()
+            with pytest.raises(ConfigError, match="REPRO_NATIVE_BACKEND"):
+                native_available()
 
     @requires_native
     def test_pickled_sim_keeps_native_kernel(self, c17):
