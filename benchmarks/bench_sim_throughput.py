@@ -2,21 +2,24 @@
 
 Measures pairs/second of the three power-simulation paths on one suite
 circuit, plus the compiled-vs-interpreted kernel A/B on unit-delay
-population builds (the artifact behind ``BENCH_5.json``) and the
+population builds (the artifact behind ``BENCH_5.json``), the
 three-tier kernel A/B (``kernel_tiers.json``; ``BENCH_10.json`` holds
-an earlier run).  The bit-parallel paths are what let the
+an earlier run) and the analyzer set-up scaling point
+(``setup_scaling.json``).  The bit-parallel paths are what let the
 experiment harness simulate 10^5-pair populations in seconds; the
 event-driven path is the reference semantics.
 """
 
 import json
+import math
 import os
 import time
 
 import numpy as np
 import pytest
 
-from repro.netlist.generators import build_circuit
+from repro.netlist.generators import build_circuit, random_layered_circuit
+from repro.netlist.library import default_library
 from repro.sim.native import backend_name, native_available
 from repro.sim.power import PowerAnalyzer
 from repro.vectors.generators import random_vector_pairs
@@ -222,3 +225,59 @@ def test_kernel_tier_ab(results_dir):
         assert native_speedup >= 1.0, (
             f"native slower than compiled ({native_speedup:.2f}x)"
         )
+
+
+# Set-up scaling probe: seeded random DAGs 8x apart in gate count, with
+# interfaces scaled alongside (the ISCAS85 suite's ~1 input per 16
+# gates).  Fixed depth, so the larger DAG is wider, not deeper.
+SETUP_SIZES = (2000, 16000)
+SETUP_TRIALS = 3
+
+
+def test_setup_scaling(results_dir):
+    """``PowerAnalyzer`` construction time is linear in circuit size.
+
+    Times a cold unit-mode ``PowerAnalyzer`` construction (validation,
+    plan compile, capacitance extraction) on two random DAGs, best of
+    three, each trial on a fresh copy so no cached plan is reused.
+    Writes the log-log slope to ``setup_scaling.json``: about 1 is
+    linear set-up, about 2 or more a per-net loop over the whole
+    circuit.  The capacitance pass is timed on its own too, so the
+    JSON attributes the set-up cost.
+    """
+    library = default_library()
+    points = {}
+    for gates in SETUP_SIZES:
+        circuit = random_layered_circuit(
+            f"setup{gates}", num_inputs=gates // 16,
+            num_outputs=gates // 32, num_gates=gates, depth=40, seed=gates,
+        )
+        points[gates] = {
+            "setup_seconds": _min_time(
+                lambda: PowerAnalyzer(circuit.copy(), mode="unit"),
+                SETUP_TRIALS,
+            ),
+            "net_caps_seconds": _min_time(
+                lambda: library.all_net_capacitances(circuit), SETUP_TRIALS
+            ),
+        }
+    small, large = SETUP_SIZES
+    slope = math.log(
+        points[large]["setup_seconds"] / points[small]["setup_seconds"]
+    ) / math.log(large / small)
+    payload = {
+        "benchmark": "sim_setup_scaling",
+        "mode": "unit",
+        "trials": SETUP_TRIALS,
+        "points": {str(g): p for g, p in points.items()},
+        "setup_scaling_exp": slope,
+    }
+    (results_dir / "setup_scaling.json").write_text(
+        json.dumps(payload, indent=2) + "\n"
+    )
+    print(
+        f"\nPowerAnalyzer set-up: {small} gates "
+        f"{points[small]['setup_seconds']:.3f}s, {large} gates "
+        f"{points[large]['setup_seconds']:.3f}s, slope {slope:.2f}"
+    )
+    assert slope < 1.5, f"set-up grows superlinearly (slope {slope:.2f})"

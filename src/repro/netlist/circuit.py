@@ -7,21 +7,23 @@ of nets.
 
 The class provides the derived views every downstream consumer needs:
 topological order, levelization (for the bit-parallel simulator and
-static timing analysis), fanout maps (for capacitance extraction) and
-structural statistics.  Derived views are computed lazily and cached;
-any mutation invalidates the caches.
+static timing analysis), fanout maps (for the event-driven simulator and
+netlist transforms) and structural statistics.  Derived views are
+computed lazily and cached; any mutation invalidates the caches.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -319,17 +321,23 @@ class Circuit:
         lv = self.levels()
         return max(lv.values(), default=0)
 
-    def fanout_map(self) -> Dict[str, List[str]]:
-        """Map net -> list of gate nets that read it (deterministic order)."""
+    def fanout_map(self) -> Mapping[str, Tuple[str, ...]]:
+        """Read-only map net -> tuple of gate nets that read it.
+
+        Sinks appear in gate insertion order, once per fanin pin (a gate
+        reading a net on two pins is listed twice).  The map is built
+        once per circuit version and shared, so a lookup is O(fanout).
+        """
         cached = self._cache.get("fanout")
         if cached is not None:
-            return {k: list(v) for k, v in cached.items()}
+            return cached
         fo: Dict[str, List[str]] = {net: [] for net in self.nets}
         for gate in self._gates.values():
             for src in gate.fanin:
                 fo[src].append(gate.name)
-        self._cache["fanout"] = {k: tuple(v) for k, v in fo.items()}
-        return fo
+        frozen = MappingProxyType({k: tuple(v) for k, v in fo.items()})
+        self._cache["fanout"] = frozen
+        return frozen
 
     def fanout_count(self, net: str) -> int:
         """Number of gate inputs driven by ``net`` (counting multiplicity)."""

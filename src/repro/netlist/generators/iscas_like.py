@@ -130,21 +130,17 @@ def _merge_with_padding(
         new_nets.append(net)
 
     outputs = list(merged.outputs)
+    chosen = set(outputs)
     fanout = merged.fanout_map()
     dangling = [
-        n
-        for n in list(merged.gates)
-        if not fanout[n] and n not in set(outputs)
+        n for n in merged.gates if not fanout[n] and n not in chosen
     ]
-    for net in dangling:
+    for net in dangling + new_nets[::-1]:
         if len(outputs) >= profile.num_outputs:
             break
-        outputs.append(net)
-    for net in reversed(new_nets):
-        if len(outputs) >= profile.num_outputs:
-            break
-        if net not in set(outputs):
+        if net not in chosen:
             outputs.append(net)
+            chosen.add(net)
     merged.set_outputs(outputs[: profile.num_outputs])
     merged.validate()
     return merged

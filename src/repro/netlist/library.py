@@ -128,14 +128,43 @@ class CellLibrary:
         return cell.intrinsic_delay_ps + cell.delay_per_ff_ps * load
 
     def all_net_capacitances(self, circuit: Circuit) -> Dict[str, float]:
-        """Net -> capacitance for every net in ``circuit`` (one pass)."""
-        return {
-            net: self.net_capacitance(circuit, net) for net in circuit.nets
-        }
+        """Net -> capacitance for every net in ``circuit``.
+
+        Linear in circuit size and needs no fanout map: seed each net
+        with its driver's output cap, walk the gates in insertion order
+        adding each cell's input cap to every fanin net, then add the
+        wire load per pin.  That is the sink order of
+        :meth:`Circuit.fanout_map`, so every value is bit-identical to
+        :meth:`net_capacitance`, which stays the single-net reference.
+        """
+        gates = circuit.gates
+        caps = dict.fromkeys(circuit.nets, 0.0)
+        pins = dict.fromkeys(caps, 0)
+        for net, gate in gates.items():
+            caps[net] += self.params(gate.gtype).output_cap_ff
+        for gate in gates.values():
+            input_cap = self.params(gate.gtype).input_cap_ff
+            for src in gate.fanin:
+                caps[src] += input_cap
+                pins[src] += 1
+        for net, count in pins.items():
+            caps[net] += self.wire_cap_per_fanout_ff * count
+        return caps
 
     def all_gate_delays(self, circuit: Circuit) -> Dict[str, float]:
-        """Net -> driver delay for every net (0.0 for primary inputs)."""
-        return {net: self.gate_delay(circuit, net) for net in circuit.nets}
+        """Net -> driver delay for every net (0.0 for primary inputs).
+
+        Derived from one :meth:`all_net_capacitances` pass; each value
+        is bit-identical to :meth:`gate_delay`.
+        """
+        caps = self.all_net_capacitances(circuit)
+        delays = dict.fromkeys(circuit.inputs, 0.0)
+        for net, gate in circuit.gates.items():
+            cell = self.params(gate.gtype)
+            delays[net] = (
+                cell.intrinsic_delay_ps + cell.delay_per_ff_ps * caps[net]
+            )
+        return delays
 
     # ------------------------------------------------------------------
     # serialization (simple JSON technology files)

@@ -155,9 +155,8 @@ def write_verilog(circuit: Circuit) -> str:
     lines.append(f"module {_legalize(circuit.name)} ({', '.join(ports)});")
     lines.append(f"  input  {', '.join(circuit.inputs)};")
     lines.append(f"  output {', '.join(circuit.outputs)};")
-    internal = [
-        n for n in circuit.topological_order() if n not in set(circuit.outputs)
-    ]
+    outputs = set(circuit.outputs)
+    internal = [n for n in circuit.topological_order() if n not in outputs]
     if internal:
         lines.append(f"  wire   {', '.join(internal)};")
     idx = 0

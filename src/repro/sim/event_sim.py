@@ -96,7 +96,9 @@ class EventDrivenSimulator:
         self.delay_model = delay_model or UnitDelay()
         self.inertial = inertial
         self._delays = self.delay_model.delays_for(circuit)
-        self._fanout = circuit.fanout_map()
+        # A plain-dict view of the shared read-only map keeps the
+        # simulator picklable (process pools ship analyzers by pickle).
+        self._fanout = dict(circuit.fanout_map())
         self._order = circuit.topological_order()
 
     # ------------------------------------------------------------------

@@ -124,8 +124,16 @@ class TestDerivedViews:
     def test_fanout_map(self, c17):
         fo = c17.fanout_map()
         assert sorted(fo["G11"]) == ["G16", "G19"]
-        assert fo["G22"] == []
+        assert fo["G22"] == ()
         assert c17.fanout_count("G16") == 2
+
+    def test_fanout_map_shared_and_read_only(self, c17):
+        fo = c17.fanout_map()
+        assert c17.fanout_map() is fo
+        with pytest.raises(TypeError):
+            fo["G22"] = ("G1",)
+        c17.add_gate("extra", GateType.NOT, ["G22"])
+        assert c17.fanout_map()["G22"] == ("extra",)
 
     def test_dangling_nets(self):
         c = Circuit()

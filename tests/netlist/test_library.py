@@ -5,6 +5,11 @@ import pytest
 from repro.errors import ConfigError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.netlist.generators import (
+    available_circuits,
+    build_circuit,
+    random_layered_circuit,
+)
 from repro.netlist.library import (
     CellLibrary,
     CellParams,
@@ -100,3 +105,74 @@ class TestCellLibrary:
     def test_custom_vdd(self):
         lib = default_library(vdd=2.5)
         assert lib.vdd == 2.5
+
+
+def _forward_reference_circuit():
+    """Gates inserted before their drivers, one net read on two pins."""
+    c = Circuit("forward")
+    c.add_input("a")
+    c.add_input("b")
+    c.add_gate("late", GateType.XOR, ["early", "early"])
+    c.add_gate("early", GateType.NAND, ["a", "b"])
+    c.add_gate("mux", GateType.MUX, ["a", "late", "early"])
+    c.set_outputs(["mux"])
+    c.validate()
+    return c
+
+
+def _fractional_library():
+    """Non-dyadic values, so a changed summation order changes bits."""
+    cells = {
+        gtype: CellParams(0.1 + 0.07 * i, 0.3 + 0.11 * i, 10 / 3 + i, 0.7)
+        for i, gtype in enumerate(GateType)
+    }
+    return CellLibrary(cells, name="fractional", wire_cap_per_fanout_ff=0.3)
+
+
+class TestBulkExtractionMatchesPerNet:
+    """The one-pass bulk helpers equal the per-net reference exactly."""
+
+    @pytest.fixture(params=["default", "fractional"])
+    def lib(self, request):
+        if request.param == "fractional":
+            return _fractional_library()
+        return default_library()
+
+    @pytest.fixture(
+        params=list(available_circuits()) + ["random_dag", "forward"]
+    )
+    def circuit(self, request):
+        if request.param == "random_dag":
+            return random_layered_circuit(
+                "rdag", num_inputs=40, num_outputs=20, num_gates=600,
+                depth=25, seed=13,
+            )
+        if request.param == "forward":
+            return _forward_reference_circuit()
+        return build_circuit(request.param)
+
+    def test_capacitances_identical(self, circuit, lib):
+        caps = lib.all_net_capacitances(circuit)
+        assert list(caps) == circuit.nets
+        assert caps == {
+            net: lib.net_capacitance(circuit, net) for net in circuit.nets
+        }
+
+    def test_delays_identical(self, circuit, lib):
+        delays = lib.all_gate_delays(circuit)
+        assert list(delays) == circuit.nets
+        assert delays == {
+            net: lib.gate_delay(circuit, net) for net in circuit.nets
+        }
+
+    def test_pin_multiplicity_counted(self):
+        c = _forward_reference_circuit()
+        lib = default_library()
+        xor_in = lib.params(GateType.XOR).input_cap_ff
+        mux_in = lib.params(GateType.MUX).input_cap_ff
+        expected = (
+            lib.params(GateType.NAND).output_cap_ff
+            + 2 * xor_in + mux_in
+            + 3 * lib.wire_cap_per_fanout_ff
+        )
+        assert lib.all_net_capacitances(c)["early"] == pytest.approx(expected)

@@ -1,10 +1,15 @@
 """Power analyzer: unit conversions, mode consistency, validation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.netlist.library import default_library
+from repro.netlist.circuit import Circuit
+from repro.netlist.generators import build_circuit
+from repro.netlist.library import CellLibrary, default_library
+from repro.sim.delay import LibraryDelay
 from repro.sim.power import PowerAnalyzer
 
 
@@ -134,3 +139,57 @@ class TestPopulationPowers:
         powers = pa.powers_for_pairs(v1, v2)
         assert (powers <= pa.max_possible_power_w() + 1e-12).all()
         assert (powers >= 0).all()
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestSetupCost:
+    """Set-up work is per circuit, never per net or per pair."""
+
+    def test_fanout_built_at_most_once(self, monkeypatch):
+        circuit = build_circuit("c880")
+        calls = _count_calls(monkeypatch, Circuit, "fanout_map")
+        PowerAnalyzer(circuit, mode="unit")
+        LibraryDelay().delays_for(circuit)
+        assert len(calls) <= 1
+
+    def test_event_pairs_reuse_capacitances(self, monkeypatch, c17, rng):
+        calls = _count_calls(monkeypatch, CellLibrary, "all_net_capacitances")
+        pa = PowerAnalyzer(c17, mode="event")
+        v1 = rng.integers(0, 2, size=(12, 5)).astype(np.uint8)
+        v2 = rng.integers(0, 2, size=(12, 5)).astype(np.uint8)
+        pa.powers_for_pairs(v1, v2)
+        after_first = len(calls)
+        pa.powers_for_pairs(v1, v2)
+        # One pass at construction, one for the lazily built event
+        # simulator's delays; none per pair.
+        assert after_first <= 2
+        assert len(calls) == after_first
+
+    def test_event_energy_matches_per_net_reference(self, c17):
+        pa = PowerAnalyzer(c17, mode="event")
+        bd = pa.pair_power([0, 1, 0, 1, 0], [1, 1, 1, 0, 1])
+        lib = pa.library
+        expected = pa.energy_scale * sum(
+            lib.net_capacitance(c17, net) * 1e-15 * count
+            for net, count in bd.toggle_counts.items()
+        )
+        assert bd.energy_j == expected
+
+    def test_event_analyzer_pickles_after_use(self, c17, rng):
+        pa = PowerAnalyzer(c17, mode="event")
+        v1 = rng.integers(0, 2, size=(6, 5)).astype(np.uint8)
+        v2 = rng.integers(0, 2, size=(6, 5)).astype(np.uint8)
+        powers = pa.powers_for_pairs(v1, v2)
+        clone = pickle.loads(pickle.dumps(pa))
+        assert np.array_equal(clone.powers_for_pairs(v1, v2), powers)
